@@ -361,7 +361,8 @@ func BenchmarkEmulatorReplay(b *testing.B) {
 }
 
 // BenchmarkVMInvokeLocal measures local method dispatch with monitoring
-// attached.
+// attached, without arguments and with three (an int, a string and a
+// 256-byte blob, the shape of JavaNote's payload calls).
 func BenchmarkVMInvokeLocal(b *testing.B) {
 	skipBench(b)
 	reg := vm.NewRegistry()
@@ -375,7 +376,11 @@ func BenchmarkVMInvokeLocal(b *testing.B) {
 				if err != nil {
 					return vm.Nil(), err
 				}
-				return vm.Nil(), th.SetField(self, "n", vm.Int(v.I+1))
+				d := int64(1)
+				if len(args) > 0 {
+					d = args[0].I
+				}
+				return vm.Nil(), th.SetField(self, "n", vm.Int(v.I+d))
 			},
 		}},
 	})
@@ -387,11 +392,58 @@ func BenchmarkVMInvokeLocal(b *testing.B) {
 		b.Fatal(err)
 	}
 	v.SetRoot("c", id)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := th.Invoke(id, "inc"); err != nil {
-			b.Fatal(err)
+	blob := make([]byte, 256)
+	b.Run("noargs", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := th.Invoke(id, "inc"); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+	b.Run("args3", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := th.Invoke(id, "inc", vm.Int(1), vm.Str("k"), vm.Blob(blob)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkJavaNoteDispatch runs the JavaNote scenario on a 12 MiB client
+// heap with no surrogate, monitored and unmonitored: all of its cost is
+// local dispatch, fields, allocation and collection. The difference of
+// the two ms/op figures is the live monitor's absolute cost per run, the
+// in-tree counterpart of the paper's §5.1 monitoring overhead.
+func BenchmarkJavaNoteDispatch(b *testing.B) {
+	skipBench(b)
+	spec := apps.JavaNote()
+	reg, driver, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, monitored := range []bool{true, false} {
+		name, opts := "monitored", []Option{WithHeap(spec.RecordHeap)}
+		if !monitored {
+			name, opts = "unmonitored", append(opts, WithoutMonitoring())
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var elapsed time.Duration
+			for i := 0; i < b.N; i++ {
+				client := NewClient(reg, opts...)
+				t0 := time.Now()
+				if err := driver(client.Thread()); err != nil {
+					b.Fatal(err)
+				}
+				elapsed += time.Since(t0)
+				if err := client.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(elapsed.Microseconds())/1e3/float64(b.N), "ms/op")
+		})
 	}
 }
 

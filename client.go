@@ -556,7 +556,7 @@ func (c *Client) OffloadContext(ctx context.Context) (*OffloadReport, error) {
 		if len(classes) == 0 {
 			continue
 		}
-		objects, bytes, err := peers[idx].OffloadContext(ctx, classes)
+		objects, bytes, err := c.offloadTo(ctx, idx, peers[idx], classes)
 		if err != nil {
 			return nil, fmt.Errorf("aide: offload to surrogate %d: %w", idx, err)
 		}
@@ -592,6 +592,30 @@ func (c *Client) OffloadContext(ctx context.Context) (*OffloadReport, error) {
 		})
 	}
 	return &rep, nil
+}
+
+// maxOffloadRedirects bounds the drain redirects one offload follows, as
+// the VM bounds an invocation's.
+const maxOffloadRedirects = 3
+
+// offloadTo migrates classes to the surrogate in slot idx. A draining
+// surrogate refuses the migrate before executing it and the objects are
+// still local, so, like an invocation, the offload waits for the handoff
+// and retries on the session's new home.
+func (c *Client) offloadTo(ctx context.Context, idx int, p *remote.Peer, classes []string) (int, int64, error) {
+	for drains := 0; ; drains++ {
+		objects, bytes, err := p.OffloadContext(ctx, classes)
+		if err == nil || drains == maxOffloadRedirects || !errors.Is(err, vm.ErrSessionDrained) || !c.waitHandoff(idx, p) {
+			return objects, bytes, err
+		}
+		c.mu.Lock()
+		next := c.peers[idx]
+		c.mu.Unlock()
+		if next == nil {
+			return objects, bytes, err
+		}
+		p = next
+	}
 }
 
 // placeAcross assigns classes (largest first) to surrogates, greedily

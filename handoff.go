@@ -210,12 +210,16 @@ func (c *Client) handleHandoff(old *remote.Peer, dest string, img []byte) error 
 		})
 	}
 	// Close the old connection asynchronously: this handler runs on one
-	// of its own serve workers, which Close joins. Let the old peer's
-	// in-flight replies land first — a call answered before the drain
-	// quiesced may still be on the wire, and closing under it would turn
-	// an executed call into a spurious failure.
+	// of its own serve workers, which Close joins. Wait for that serve to
+	// send its reply, the handoff ack: closing first makes the draining
+	// surrogate see EOF, count the handoff as failed and resume the
+	// session it already shipped. Then let the old peer's in-flight
+	// replies land — a call answered before the drain quiesced may still
+	// be on the wire, and closing under it would turn an executed call
+	// into a spurious failure.
 	go func() {
 		defer c.bg.Done()
+		old.WaitServeIdle(0)
 		deadline := time.Now().Add(time.Second)
 		for old.PendingCalls() > 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)

@@ -10,7 +10,7 @@
 //
 // Ingestion is striped: events land in per-shard delta maps (classes by
 // ID, class pairs by pair hash) behind independent mutexes, with a
-// lock-free interner resolving class names, so concurrent event sources
+// copy-on-write interner resolving class names, so concurrent event sources
 // never serialize on one global lock. Shard deltas merge into the base
 // graph only when a snapshot is taken (Graph, Delta, Live, Flush) —
 // integer merges commute, so the result is independent of shard order and
@@ -19,6 +19,7 @@
 package monitor
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,11 +152,13 @@ type pendingClass struct {
 type Monitor struct {
 	meta ClassMetaFunc
 
-	// Lock-free interner: names maps class name → graph.NodeID, flags
-	// maps NodeID → *atomic.Uint32 of applied metadata bits. createMu
-	// serializes ID assignment; metaMu guards the pending flag-upgrade
-	// set applied at the next flush.
-	names    sync.Map // string → graph.NodeID
+	// Copy-on-write interner: names points at an immutable class name →
+	// graph.NodeID map, replaced by a grown copy (under createMu) on the
+	// first sight of a class, so a hit is one atomic load and one string
+	// lookup. flags maps NodeID → *atomic.Uint32 of applied metadata
+	// bits. createMu serializes ID assignment; metaMu guards the pending
+	// flag-upgrade set applied at the next flush.
+	names    atomic.Pointer[map[string]graph.NodeID]
 	flags    sync.Map // graph.NodeID → *atomic.Uint32
 	createMu sync.Mutex
 	pending  []pendingClass
@@ -235,19 +238,24 @@ func New(meta ClassMetaFunc, opts ...Option) *Monitor {
 	if m.halfLife > 0 {
 		m.g.SetDecay(m.halfLife)
 	}
+	names := map[string]graph.NodeID{}
+	m.names.Store(&names)
 	return m
 }
 
 // classID resolves a class name to its dense node ID, interning it on
-// first sight. The hit path is one lock-free map load.
+// first sight. The hit path is one atomic load and one map lookup; a miss
+// publishes a copy of the map grown by one entry, which costs O(classes)
+// once per class.
 func (m *Monitor) classID(name string) graph.NodeID {
-	if v, ok := m.names.Load(name); ok {
-		return v.(graph.NodeID)
+	if id, ok := (*m.names.Load())[name]; ok {
+		return id
 	}
 	m.createMu.Lock()
 	defer m.createMu.Unlock()
-	if v, ok := m.names.Load(name); ok {
-		return v.(graph.NodeID)
+	old := *m.names.Load()
+	if id, ok := old[name]; ok {
+		return id
 	}
 	id := m.nextID
 	m.nextID++
@@ -259,7 +267,10 @@ func (m *Monitor) classID(name string) graph.NodeID {
 	fb := new(atomic.Uint32)
 	fb.Store(info.bits())
 	m.flags.Store(id, fb)
-	m.names.Store(name, id)
+	next := make(map[string]graph.NodeID, len(old)+1)
+	maps.Copy(next, old)
+	next[name] = id
+	m.names.Store(&next)
 	return id
 }
 
@@ -327,24 +338,14 @@ func (m *Monitor) record(f func(r *Recorder)) {
 // merges commute and each class/pair lives in exactly one shard, so the
 // merged graph is independent of shard iteration order.
 func (m *Monitor) flushLocked() {
-	m.createMu.Lock()
-	pend := m.pending
-	m.pending = nil
-	m.createMu.Unlock()
-	for i := range pend {
-		pc := &pend[i]
-		n := m.g.Intern(pc.name)
-		n.Pinned = pc.meta.Pinned
-		n.Array = pc.meta.Array
-		n.Stateless = pc.meta.Stateless
-	}
+	m.internPendingLocked()
 
 	m.metaMu.Lock()
 	pm := m.pendingMeta
 	m.pendingMeta = make(map[graph.NodeID]uint32)
 	m.metaMu.Unlock()
 	for id, bits := range pm { // OR-merges commute; order irrelevant
-		if n := m.g.Node(id); n != nil {
+		if n := m.nodeLocked(id); n != nil {
 			n.Pinned = n.Pinned || bits&1 != 0
 			n.Array = n.Array || bits&2 != 0
 			n.Stateless = n.Stateless || bits&4 != 0
@@ -356,6 +357,7 @@ func (m *Monitor) flushLocked() {
 		s := &m.nodeShards[i]
 		s.mu.Lock()
 		for id, d := range s.nodes {
+			m.nodeLocked(id)
 			m.g.AddNodeDelta(id, d.mem, d.live, d.total, d.peakRise, d.cpu)
 		}
 		clear(s.nodes)
@@ -380,11 +382,41 @@ func (m *Monitor) flushLocked() {
 		s := &m.edgeShards[i]
 		s.mu.Lock()
 		for k, d := range s.edges {
+			m.nodeLocked(k.B) // k.A < k.B: interning B interns A
 			m.g.AddEdgeDelta(k.A, k.B, d.inv, d.acc, d.bytes)
 		}
 		clear(s.edges)
 		s.mu.Unlock()
 	}
+}
+
+// internPendingLocked adds the classes interned since its last call to
+// the base graph, in ID order, so graph and monitor IDs agree. Caller
+// holds m.mu.
+func (m *Monitor) internPendingLocked() {
+	m.createMu.Lock()
+	pend := m.pending
+	m.pending = nil
+	m.createMu.Unlock()
+	for i := range pend {
+		pc := &pend[i]
+		n := m.g.Intern(pc.name)
+		n.Pinned = pc.meta.Pinned
+		n.Array = pc.meta.Array
+		n.Stateless = pc.meta.Stateless
+	}
+}
+
+// nodeLocked returns the base-graph node for id. An event source may
+// intern a class and record its first delta after the flush took the
+// pending list; classID queues a class before publishing its ID, so
+// taking the list again always finds it. Caller holds m.mu.
+func (m *Monitor) nodeLocked(id graph.NodeID) *graph.Node {
+	if n := m.g.Node(id); n != nil {
+		return n
+	}
+	m.internPendingLocked()
+	return m.g.Node(id)
 }
 
 // Flush merges buffered shard deltas into the base graph. Snapshot

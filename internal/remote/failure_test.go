@@ -225,3 +225,36 @@ func TestOrphanReplyLogsOncePerPeer(t *testing.T) {
 		t.Fatal("Warn() must report the recorded orphan anomaly")
 	}
 }
+
+// sendCutTransport is a connection whose send side reports it closed
+// while the receive side has not noticed yet: Recv blocks until Close.
+type sendCutTransport struct {
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (t *sendCutTransport) Send(*Message) error { return fmt.Errorf("%w: wire cut", ErrClosed) }
+func (t *sendCutTransport) Recv() (*Message, error) {
+	<-t.closed
+	return nil, ErrClosed
+}
+func (t *sendCutTransport) Close() error {
+	t.once.Do(func() { close(t.closed) })
+	return nil
+}
+
+// TestSendRetriesExhaustedOnClosedTransportIsPeerGone: when every send
+// attempt finds the transport closed before the receive loop has seen
+// the loss, the call fails as a disconnect (vm.ErrPeerGone), so the VM's
+// failover runs, not as a bare transport error the application sees.
+func TestSendRetriesExhaustedOnClosedTransportIsPeerGone(t *testing.T) {
+	reg := failureRegistry(nil)
+	client := vm.New(reg, vm.Config{Role: vm.RoleClient})
+	p := NewPeer(client, &sendCutTransport{closed: make(chan struct{})},
+		Options{Workers: 1, RetryMax: 2, RetryBase: time.Millisecond})
+	defer p.Close()
+	err := p.Ping()
+	if !errors.Is(err, vm.ErrPeerGone) {
+		t.Fatalf("ping over a cut connection = %v, want an error wrapping vm.ErrPeerGone", err)
+	}
+}

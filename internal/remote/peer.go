@@ -872,6 +872,12 @@ func (p *Peer) sendRetry(ctx context.Context, m *Message) error {
 			return nil
 		}
 		if attempt >= p.retryMax {
+			if errors.Is(err, ErrClosed) && !p.closed.Load() {
+				// The transport reports the connection gone before
+				// recvLoop has seen the loss: classify it the same way, so
+				// the caller's disconnect failover fires.
+				return fmt.Errorf("%w: send: %v", ErrDisconnected, err)
+			}
 			return err
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -1020,7 +1026,7 @@ func (p *Peer) servePipeline(calls []vm.PipelineCall) (rets []vm.WireValue, elap
 	}
 	// One decoded-argument arena and one service thread for the whole
 	// frame: per-call slices are carved full-capacity out of the arena
-	// (never overlapping, so a body retaining its args stays safe).
+	// (never overlapping, so one call's arguments cannot alias another's).
 	total := 0
 	for i := range calls {
 		total += len(calls[i].Args)
@@ -1223,6 +1229,12 @@ func (p *Peer) offload(ctx context.Context, classNames []string) (objects int, b
 	req := &Message{Kind: MsgMigrate, Batch: batch}
 	reply, err := p.Call(ctx, req)
 	if err != nil {
+		if errors.Is(err, vm.ErrSessionDrained) {
+			// The draining gate refused the batch unexecuted: drop the
+			// export pins extraction took, so a retry on the session's
+			// new home does not pin them twice.
+			p.local.UnpinMigration(batch)
+		}
 		return 0, 0, fmt.Errorf("remote: offload: %w", err)
 	}
 	if len(reply.IDs) != len(batch) {

@@ -8,6 +8,11 @@ import (
 // Body is a method implementation: the stand-in for Java bytecode. Bodies
 // run with a Thread context that provides allocation, invocation, field and
 // static access, and simulated work.
+//
+// args is valid only for the duration of the call: it is the invoking
+// frame's reusable buffer, so a body that keeps the slice past its return
+// must copy it. The Values themselves may be kept; a Blob's bytes are
+// shared with the caller, not copied.
 type Body func(t *Thread, self ObjectID, args []Value) (Value, error)
 
 // Method describes one method of a class.

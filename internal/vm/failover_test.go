@@ -275,3 +275,73 @@ func TestInvokeStaticErrors(t *testing.T) {
 		t.Fatalf("AdvanceClock moved %v, want 5ms", v.Clock()-before)
 	}
 }
+
+// handingOffPeer re-points its own slot at next and then fails the
+// operation as gone: a live handoff swapping the slot while a call is in
+// flight on the departing connection.
+type handingOffPeer struct {
+	erringPeer
+	v    *VM
+	idx  int
+	next Peer
+}
+
+func (p *handingOffPeer) swap() error {
+	if err := p.v.ReplacePeer(p.idx, p.next); err != nil {
+		return err
+	}
+	return p.err
+}
+
+func (p *handingOffPeer) InvokeRemote(ObjectID, string, []Value) (Value, time.Duration, error) {
+	return Nil(), 0, p.swap()
+}
+func (p *handingOffPeer) GetFieldRemote(ObjectID, string) (Value, error) { return Nil(), p.swap() }
+func (p *handingOffPeer) SetFieldRemote(ObjectID, string, Value) error   { return p.swap() }
+
+// TestPeerGoneAfterHandoffRetriesOnReplacement: an operation that fails
+// as peer-gone on a connection a handoff has already replaced retries on
+// the replacement. It must not fail the slot over: that would re-home
+// the session's objects as zeroed local copies while the replacement
+// holds their live state.
+func TestPeerGoneAfterHandoffRetriesOnReplacement(t *testing.T) {
+	gone := fmt.Errorf("transport: %w", ErrPeerGone)
+	ops := []struct {
+		name string
+		op   func(th *Thread, id ObjectID) error
+	}{
+		{"invoke", func(th *Thread, id ObjectID) error {
+			_, err := th.Invoke(id, "getVal")
+			return err
+		}},
+		{"getfield", func(th *Thread, id ObjectID) error {
+			_, err := th.GetField(id, "val")
+			return err
+		}},
+		{"setfield", func(th *Thread, id ObjectID) error {
+			return th.SetField(id, "val", Int(5))
+		}},
+	}
+	for _, tc := range ops {
+		t.Run(tc.name, func(t *testing.T) {
+			v := New(migRegistry(t), Config{Role: RoleClient, HeapCapacity: 1 << 20, CPUSpeed: 1})
+			old := &handingOffPeer{erringPeer: erringPeer{err: gone}, v: v, next: &retainingPeer{}}
+			old.idx = v.AttachPeer(old)
+			stub, err := v.StubFor(old.idx, ObjectID(99), "Node")
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.SetRoot("stub", stub)
+			v.SetFailoverHandler(func(int) bool {
+				t.Error("failover ran for a slot a handoff had already replaced")
+				return false
+			})
+			if err := tc.op(v.NewThread(), stub); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if o := v.Object(stub); o == nil || !o.Remote {
+				t.Fatal("object must stay remote on the replacement")
+			}
+		})
+	}
+}

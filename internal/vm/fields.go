@@ -23,7 +23,7 @@ retry:
 			idx := o.PeerIdx
 			v.mu.Unlock()
 			err := v.peerSlotErr(idx)
-			if !retried && v.failoverIfGone(idx, err) {
+			if !retried && v.failoverIfGone(idx, nil, err) {
 				retried = true
 				goto retry
 			}
@@ -35,7 +35,7 @@ retry:
 		v.mu.Unlock()
 		val, err := peer.GetFieldRemote(peerID, field)
 		if err != nil {
-			if !retried && v.failoverIfGone(peerIdx, err) {
+			if !retried && v.failoverIfGone(peerIdx, peer, err) {
 				retried = true
 				goto retry
 			}
@@ -108,7 +108,7 @@ retry:
 			idx := o.PeerIdx
 			v.mu.Unlock()
 			err := v.peerSlotErr(idx)
-			if !retried && v.failoverIfGone(idx, err) {
+			if !retried && v.failoverIfGone(idx, nil, err) {
 				retried = true
 				goto retry
 			}
@@ -119,7 +119,7 @@ retry:
 		hooks := v.hooks
 		v.mu.Unlock()
 		if err := peer.SetFieldRemote(peerID, field, val); err != nil {
-			if !retried && v.failoverIfGone(peerIdx, err) {
+			if !retried && v.failoverIfGone(peerIdx, peer, err) {
 				retried = true
 				goto retry
 			}
@@ -140,9 +140,11 @@ retry:
 		v.mu.Unlock()
 		return nil
 	}
-	defer v.mu.Unlock()
+	// Explicit unlocks, not defer: the retry loop would make Go
+	// heap-allocate the deferred call on every local write.
 	ix, ok := o.Class.FieldIndex(field)
 	if !ok {
+		v.mu.Unlock()
 		return fmt.Errorf("vm: set %s.%s: %w", to, field, ErrNoSuchField)
 	}
 	// Writing a deferred slot overwrites the placeholder; the origin's
@@ -157,6 +159,7 @@ retry:
 		v.hooks.OnAccess(from, to, target, val.WireSize())
 		v.chargeMonitorLocked()
 	}
+	v.mu.Unlock()
 	return nil
 }
 

@@ -103,9 +103,9 @@ func (v *VM) collectLocked() {
 		push(id)
 	}
 	for _, slots := range v.statics {
-		for _, val := range slots {
-			if val.Kind == KindRef {
-				push(val.Ref)
+		for i := range slots {
+			if slots[i].Kind == KindRef {
+				push(slots[i].Ref)
 			}
 		}
 	}
@@ -129,9 +129,9 @@ func (v *VM) collectLocked() {
 		if o == nil || o.Remote {
 			continue // stubs hold no outgoing local references
 		}
-		for _, val := range o.Fields {
-			if val.Kind == KindRef {
-				push(val.Ref)
+		for i := range o.Fields {
+			if o.Fields[i].Kind == KindRef {
+				push(o.Fields[i].Ref)
 			}
 		}
 	}

@@ -252,6 +252,29 @@ func (v *VM) stubForLocked(peerIdx int, peerID ObjectID, className string) (Obje
 	return id, nil
 }
 
+// UnpinMigration undoes the export pins ExtractMigration took for an
+// extracted batch the receiver never executed: each reference from the
+// batch to a local object outside it. The batch's objects stay local and
+// may be extracted again.
+func (v *VM) UnpinMigration(batch []MigratedObject) {
+	inBatch := make(map[ObjectID]bool, len(batch))
+	for i := range batch {
+		inBatch[batch[i].SenderID] = true
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for i := range batch {
+		for _, w := range batch[i].Fields {
+			if w.Kind != KindRef || w.Ref.ReceiverLocal || inBatch[w.Ref.ID] {
+				continue
+			}
+			if o, ok := v.objects[w.Ref.ID]; ok && o.exported > 0 {
+				o.exported--
+			}
+		}
+	}
+}
+
 // ConvertToStubs completes a migration on the sender: each object becomes
 // a stub pointing at the peer ID the receiver assigned, and its heap
 // memory is freed. ids and peerIDs correspond positionally.

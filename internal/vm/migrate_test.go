@@ -405,3 +405,38 @@ func TestReclaimStubsKeepsPinsWithOtherPeers(t *testing.T) {
 	}
 	client.DetachPeer(secondIdx)
 }
+
+// TestUnpinMigrationUndoesExtraction: extracting a batch pins the local
+// objects it references; a batch the receiver never executed (a draining
+// surrogate's refusal) gives the pins back, so extracting it again for a
+// retry pins them once, not twice.
+func TestUnpinMigrationUndoesExtraction(t *testing.T) {
+	v := New(migRegistry(t), Config{Role: RoleClient, HeapCapacity: 1 << 20})
+	th := v.NewThread()
+	node, err := th.New("Node", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := th.New("Keep", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := th.SetField(node, "next", RefOf(keep)); err != nil {
+		t.Fatal(err)
+	}
+	v.SetRoot("node", node)
+	v.SetRoot("keep", keep)
+	for round := 1; round <= 2; round++ {
+		batch, err := v.ExtractMigration([]string{"Node"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := v.ExportCount(keep); n != 1 {
+			t.Fatalf("round %d: export count after extraction = %d, want 1", round, n)
+		}
+		v.UnpinMigration(batch)
+		if n := v.ExportCount(keep); n != 0 {
+			t.Fatalf("round %d: export count after unpin = %d, want 0", round, n)
+		}
+	}
+}

@@ -376,7 +376,7 @@ func (p *Pipeline) runBatched(ctx context.Context, peerIdx int, pp PipelinePeer,
 			p.releaseExports(exports, 0)
 			return false, nil, nil
 		}
-		if v.failoverIfGone(peerIdx, callErr) {
+		if v.failoverIfGone(peerIdx, nil, callErr) {
 			// The peer vanished mid-frame and its objects were re-homed
 			// locally; re-execute sequentially on the reclaimed copies.
 			// (Failover already dropped a sole peer's pins wholesale.)

@@ -21,6 +21,12 @@ type frame struct {
 	// this frame are GC roots until the frame exits.
 	temps []ObjectID
 
+	// args is the frame's own copy of the invocation's arguments, the
+	// slice handed to the method body. Copying under the VM lock keeps the
+	// caller's variadic slice from escaping, so a local call allocates
+	// nothing; the buffer is reused with the frame.
+	args []Value
+
 	// thread is the execution context handed to this frame's method body.
 	// Embedding it in the (pooled) frame makes it allocation-free; reuse
 	// is safe because a Thread holds only the VM pointer, which is the
@@ -44,9 +50,13 @@ func (v *VM) getFrameLocked(className, method string) *frame {
 }
 
 // putFrameLocked recycles a popped frame. Called with v.mu held; the
-// frame must no longer be on v.frames.
+// frame must no longer be on v.frames. The args buffer is zeroed up to its
+// capacity (a body may have appended to it), so a pooled frame pins no
+// payload.
 func (v *VM) putFrameLocked(f *frame) {
 	if len(v.framePool) < 64 {
+		clear(f.args[:cap(f.args)])
+		f.args = f.args[:0]
 		v.framePool = append(v.framePool, f)
 	}
 }
@@ -148,7 +158,7 @@ func (t *Thread) Invoke(target ObjectID, method string, args ...Value) (Value, e
 		peerIdx := o.PeerIdx
 		used := v.peerAt(peerIdx)
 		ret, err := v.invokeRemoteLocked(o, method, args)
-		if err != nil && !retried && v.failoverIfGone(peerIdx, err) {
+		if err != nil && !retried && v.failoverIfGone(peerIdx, used, err) {
 			// The handler re-homed the peer's objects locally; the retry
 			// re-reads the object and executes on the reclaimed copy.
 			retried = true
@@ -185,7 +195,9 @@ func (v *VM) invokeRemoteLocked(o *Object, method string, args []Value) (Value, 
 	hooks := v.hooks
 	v.mu.Unlock()
 
-	ret, elapsed, err := peer.InvokeRemote(peerID, method, args)
+	// The peer owns its copy: a Peer may keep the arguments past the
+	// call (a speculative race leaves its remote leg running).
+	ret, elapsed, err := peer.InvokeRemote(peerID, method, ownedArgs(args))
 	if err != nil {
 		return Nil(), fmt.Errorf("vm: remote invoke %s.%s: %w", callee, method, err)
 	}
@@ -229,6 +241,7 @@ func (v *VM) runBodyLocked(className string, m *Method, self ObjectID, args []Va
 	caller := v.currentClassLocked()
 	argBytes := WireSizeAll(args)
 	f := v.getFrameLocked(className, m.Name)
+	f.args = append(f.args, args...)
 	if self != InvalidObject {
 		f.temps = append(f.temps, self)
 	}
@@ -240,7 +253,7 @@ func (v *VM) runBodyLocked(className string, m *Method, self ObjectID, args []Va
 	v.frames = append(v.frames, f)
 	v.mu.Unlock()
 
-	ret, err := m.Body(&f.thread, self, args)
+	ret, err := m.Body(&f.thread, self, f.args)
 
 	v.mu.Lock()
 	v.frames = v.frames[:len(v.frames)-1]
@@ -285,7 +298,7 @@ func (v *VM) routeNativeToClientLocked(className, method string, self ObjectID, 
 	}
 	v.mu.Unlock()
 
-	ret, elapsed, err := peer.InvokeNativeRemote(className, method, peerSelf, selfIsCallerLocal, args)
+	ret, elapsed, err := peer.InvokeNativeRemote(className, method, peerSelf, selfIsCallerLocal, ownedArgs(args))
 	if err != nil {
 		return Nil(), fmt.Errorf("vm: native %s.%s via client: %w", className, method, err)
 	}
@@ -300,6 +313,14 @@ func (v *VM) routeNativeToClientLocked(className, method string, self ObjectID, 
 	}
 	v.mu.Unlock()
 	return ret, nil
+}
+
+// ownedArgs copies an argument list for a Peer, which may retain it.
+func ownedArgs(args []Value) []Value {
+	if len(args) == 0 {
+		return nil
+	}
+	return append(make([]Value, 0, len(args)), args...)
 }
 
 // InvokeStatic calls a static (class) method. Static methods written in

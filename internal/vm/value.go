@@ -133,11 +133,12 @@ func (v Value) String() string {
 	}
 }
 
-// WireSizeAll sums the wire sizes of a parameter list.
+// WireSizeAll sums the wire sizes of a parameter list. It indexes rather
+// than ranging by value, which would copy each 80-byte Value.
 func WireSizeAll(vs []Value) int64 {
 	var n int64
-	for _, v := range vs {
-		n += v.WireSize()
+	for i := range vs {
+		n += vs[i].WireSize()
 	}
 	return n
 }

@@ -100,7 +100,8 @@ type Object struct {
 type Peer interface {
 	// InvokeRemote invokes method on the peer-namespace object, returning
 	// the result, the simulated time the peer spent executing, and any
-	// error.
+	// error. args is the peer's own copy (as it is for InvokeNativeRemote):
+	// it may be kept past the call.
 	InvokeRemote(peerObj ObjectID, method string, args []Value) (Value, time.Duration, error)
 
 	// GetFieldRemote and SetFieldRemote access a field of a peer object.
@@ -357,15 +358,23 @@ func (v *VM) SetFailoverHandler(f func(peerIdx int) bool) {
 
 // failoverIfGone reports whether the caller should retry an operation
 // that failed with err: true when err shows the hosting peer vanished
-// and the installed failover handler re-homed its objects. Called
-// without v.mu held.
-func (v *VM) failoverIfGone(peerIdx int, err error) bool {
+// and the installed failover handler re-homed its objects. used is the
+// peer the operation went through, or nil if the slot was empty. If a
+// live handoff has since put another peer in the slot, the loss belongs
+// to the departed connection, whose session executes nothing after the
+// handoff, so the caller retries on the replacement and the slot is not
+// failed over. Called without v.mu held.
+func (v *VM) failoverIfGone(peerIdx int, used Peer, err error) bool {
 	if err == nil || !errors.Is(err, ErrPeerGone) {
 		return false
 	}
 	v.mu.Lock()
 	f := v.failover
+	cur := v.peerAt(peerIdx)
 	v.mu.Unlock()
+	if used != nil && cur != nil && cur != used {
+		return true
+	}
 	if f == nil {
 		return false
 	}

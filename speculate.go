@@ -101,8 +101,8 @@ func (sp *specPeer) ensureClone(ctx context.Context) (*vm.VM, error) {
 // speculation only races calls whose inputs and output can be compared
 // and returned without translating between object namespaces.
 func scalarValues(vs []Value) bool {
-	for _, v := range vs {
-		if v.Kind == vm.KindRef || v.Kind == vm.KindDeferred {
+	for i := range vs {
+		if k := vs[i].Kind; k == vm.KindRef || k == vm.KindDeferred {
 			return false
 		}
 	}

@@ -82,6 +82,12 @@ type session struct {
 	admitted  atomic.Bool
 	rejectErr error
 
+	// down, guarded by the surrogate mutex, records that the session's
+	// connection was lost. Admission refuses a down session, and Serve
+	// rolls back one that went down before it was registered: the reaper
+	// cannot see such a session.
+	down bool
+
 	// draining flips when a live handoff of this session begins: the gate
 	// answers every later work request with the typed remote.ErrDrained so
 	// the client's drain handler blocks the calling thread until the slot
@@ -252,6 +258,7 @@ func (s *Surrogate) Serve(t remote.Transport) {
 		// once Close has flipped the flag it owns the teardown and the
 		// reap is redundant.
 		s.mu.Lock()
+		sess.down = true
 		closed := s.closed
 		if !closed {
 			s.wg.Add(1)
@@ -300,16 +307,20 @@ func (s *Surrogate) Serve(t remote.Transport) {
 		return snapshot.Snapshot(sess.vm).Encode(), nil
 	})
 	s.mu.Lock()
-	if s.closed {
-		// The session may have been admitted by an early request racing
-		// Close's snapshot; roll the occupancy back before discarding.
-		if sess.admitted.Load() {
+	if s.closed || sess.down {
+		// The peer serves from NewPeer on, so an early request may have
+		// admitted the session before Close or the connection's loss, and
+		// neither Close nor the reaper can see an unregistered session.
+		// Close already zeroed the occupancy; after a loss, roll the
+		// session's share back here before discarding it.
+		if !s.closed && sess.admitted.Load() {
+			sess.admitted.Store(false)
 			s.admitted--
 			s.committed -= sess.quota
 		}
 		s.mu.Unlock()
 		if err := p.Close(); err != nil && s.opts.logf != nil {
-			s.opts.logf("aide: serve after close: %v", err)
+			s.opts.logf("aide: serve after close or loss: %v", err)
 		}
 		return
 	}
@@ -361,6 +372,11 @@ func (s *Surrogate) admit(sess *session) error {
 	}
 	if s.closed {
 		return errors.New("aide: surrogate closed")
+	}
+	if sess.down {
+		// A request a worker dequeued after the loss must not re-admit a
+		// session the reaper already rolled back.
+		return errors.New("aide: session connection lost")
 	}
 	if hc := s.opts.healthCheck; hc != nil {
 		if herr := hc(); herr != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -505,5 +506,79 @@ func TestSurrogateCloseTearsDownSessions(t *testing.T) {
 	defer func() { _ = p.Close() }()
 	if err := p.Ping(); err == nil {
 		t.Fatal("ping succeeded against a closed surrogate")
+	}
+}
+
+// hangUpAfterAttach is the surrogate's end of a tenant connection that
+// sends one attach request and is lost as soon as the surrogate answers
+// it: the session is always admitted first, then lost, and the loss
+// races Serve's registration of the session.
+type hangUpAfterAttach struct {
+	sent     bool // touched only by the peer's single receive loop
+	answered chan struct{}
+	once     sync.Once
+}
+
+func newHangUpAfterAttach() *hangUpAfterAttach {
+	return &hangUpAfterAttach{answered: make(chan struct{})}
+}
+
+func (t *hangUpAfterAttach) Send(m *remote.Message) error {
+	if m.Kind == remote.MsgAttach && m.Reply {
+		t.once.Do(func() { close(t.answered) })
+	}
+	return nil
+}
+
+func (t *hangUpAfterAttach) Recv() (*remote.Message, error) {
+	if !t.sent {
+		t.sent = true
+		return &remote.Message{Kind: remote.MsgAttach, ID: 1}, nil
+	}
+	<-t.answered
+	return nil, remote.ErrClosed
+}
+
+func (t *hangUpAfterAttach) Close() error {
+	t.once.Do(func() { close(t.answered) })
+	return nil
+}
+
+// TestSessionLostBeforeRegistrationRollsBack: a tenant that is admitted
+// and loses its connection before Serve has registered the session must
+// still have its admission and heap quota released, not leaked.
+func TestSessionLostBeforeRegistrationRollsBack(t *testing.T) {
+	reg := demoRegistry(t)
+	s := NewSurrogate(reg, WithHeap(1<<30), WithSessionQuota(1<<20))
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	const tenants = 200
+	for i := 0; i < tenants; i++ {
+		s.Serve(newHangUpAfterAttach())
+	}
+	// Reaps run asynchronously, so poll until the ledger settles.
+	var admitted int
+	var committed int64
+	var registered int
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		s.mu.Lock()
+		admitted, committed, registered = s.admitted, s.committed, len(s.sessions)
+		s.mu.Unlock()
+		if admitted == 0 && committed == 0 && registered == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if admitted != 0 || committed != 0 || registered != 0 {
+		t.Fatalf("after every tenant hung up: %d sessions admitted, %d bytes of quota committed, %d registered; want all 0",
+			admitted, committed, registered)
+	}
+	if got := s.Sessions(); got != 0 {
+		t.Fatalf("Sessions() = %d, want 0", got)
+	}
+	if got := s.Stats().Admitted; got != tenants {
+		t.Fatalf("%d sessions were ever admitted, want all %d", got, tenants)
 	}
 }
